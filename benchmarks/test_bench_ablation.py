@@ -123,31 +123,36 @@ def test_ablation_fault_tolerance(benchmark):
     """Future-work feature: aggregator fail-stop recovery — identical
     results at degraded speed as survivors absorb the failed
     aggregator's windows."""
-    from repro.core import ObjectIO, cc_read_compute_ft
-    from repro.dataspace import block_partition
+    from repro.core import ObjectIO
+    from repro.faults import FaultInjector, FaultPlan, resilient_object_get
 
     parts = list(WORKLOAD.parts)
+    # Seed 66 crashes exactly one of the three aggregators (rank 24)
+    # in round 0 and none of the survivors while they adopt its windows.
+    plan = FaultPlan(seed=66, agg_crash_rate=0.3)
 
-    def job(failed):
+    def job(plan):
         kernel = Kernel()
         machine = Machine(kernel, PLATFORM)
         file = machine.fs.create_procedural_file(
             "d.nc", WORKLOAD.dspec.n_elements, dtype=WORKLOAD.dspec.dtype,
             stripe_size=256 * KiB)
+        injector = FaultInjector.attach(machine, plan) if plan else None
 
         def main(ctx):
             oio = ObjectIO(WORKLOAD.dspec, parts[ctx.rank], OP,
                            hints=CollectiveHints(cb_buffer_size=1 * MiB))
-            res = yield from cc_read_compute_ft(ctx, file, oio,
-                                                failed_aggregators=failed)
+            get = resilient_object_get if plan else object_get
+            res = yield from get(ctx, file, oio)
             return res.global_result
 
         out = mpi_run(machine, WORKLOAD.nprocs, main)
-        return kernel.now, out[0]
+        return kernel.now, out[0], injector
 
     def run():
-        t_ok, g_ok = job(frozenset())
-        t_deg, g_deg = job(frozenset({24}))  # one of three aggregators
+        t_ok, g_ok, _ = job(None)
+        t_deg, g_deg, injector = job(plan)
+        assert [r.location for r in injector.injected()] == ["rank24"]
         assert abs(g_ok - g_deg) < 1e-9 * abs(g_ok)
         return t_ok, t_deg
 

@@ -4,8 +4,9 @@
 Sweeps a moving window over the time axis of a climate variable,
 computing per-step moments with :class:`IterativeAnalysis` — the plan
 is exchanged once and reused (shifted) for every later step — and then
-repeats one step with injected aggregator failures to show the
-fault-tolerant runtime reproducing the identical answer, slower.
+repeats one step under a seeded fault plan that crashes an aggregator
+mid-job, to show the fault-tolerant runtime (repro.faults) reproducing
+the identical answer, slower.
 
 Run:  python examples/iterative_timeseries.py
 """
@@ -14,11 +15,16 @@ import numpy as np
 
 from repro import (CollectiveHints, DatasetSpec, Kernel, Machine, MiB,
                    MOMENTS_OP, ObjectIO, Subarray, hopper_like, mpi_run)
-from repro.core import IterativeAnalysis, cc_read_compute_ft, sliding_windows
+from repro.core import IterativeAnalysis, object_get, sliding_windows
 from repro.dataspace import block_partition
+from repro.faults import FaultInjector, FaultPlan, resilient_object_get
 from repro.workloads.climate import climate_field
 
 NPROCS = 48
+#: Seeded aggregator crashes: each aggregator fail-stops partway through
+#: its round-0 windows with this probability (decisions are a pure
+#: function of the seed, so the run replays exactly).
+CRASH_PLAN = FaultPlan(seed=6, agg_crash_rate=0.5)
 STEPS = 8
 WINDOW_T = 4
 SHAPE = (STEPS * WINDOW_T, NPROCS * 2, 16, 16)
@@ -62,26 +68,31 @@ def main():
         print(f"  window t=[{s * WINDOW_T:2d},{(s + 1) * WINDOW_T:2d}): "
               f"mean {mean:7.3f} K  var {var:6.2f}  {bar}")
 
-    # --- fault tolerance: rerun step 0 with a failed aggregator -------
-    def run_step0(failed):
+    # --- fault tolerance: rerun step 0 under injected crashes --------
+    def run_step0(plan):
         k, m, f = build()
+        injector = FaultInjector.attach(m, plan) if plan else None
 
         def rank_main(ctx):
             # Smaller windows here so the failure's extra work is visible.
             oio = ObjectIO(spec, parts[ctx.rank],
                            MOMENTS_OP.with_cost(40.0),
                            hints=CollectiveHints(cb_buffer_size=MiB // 8))
-            res = yield from cc_read_compute_ft(ctx, f, oio,
-                                                failed_aggregators=failed)
+            get = resilient_object_get if plan else object_get
+            res = yield from get(ctx, f, oio)
             return res.global_result
 
         out = mpi_run(m, NPROCS, rank_main)
-        return out[0], k.now
+        return out[0], k.now, injector
 
-    healthy, t_ok = run_step0(frozenset())
-    degraded, t_deg = run_step0(frozenset({24}))  # node 1's aggregator
+    healthy, t_ok, _ = run_step0(None)
+    degraded, t_deg, injector = run_step0(CRASH_PLAN)
+    crashes = [r for r in injector.records if r.kind == "inject:agg-crash"]
+    assert crashes, "the seeded plan must crash at least one aggregator"
     assert healthy == degraded
-    print(f"\nfault tolerance: aggregator rank 24 failed mid-campaign —")
+    print("\nfault tolerance: seeded aggregator crashes mid-job —")
+    for record in crashes:
+        print(f"  {record.format()}")
     print(f"  healthy  run: mean {healthy[0]:.3f} K in {t_ok * 1e3:.1f} ms")
     print(f"  degraded run: mean {degraded[0]:.3f} K in {t_deg * 1e3:.1f} ms "
           f"({t_deg / t_ok:.2f}x slower, bit-identical result)")

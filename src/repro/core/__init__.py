@@ -9,14 +9,13 @@ right after reading it and shuffle only small partial results.
 (§III-B, via :mod:`repro.dataspace`), the read/map/shuffle pipeline of
 Figure 7, and the all-to-one / all-to-all results reduce with result
 construction (§III-C) — plus the §VI future-work items: iterative
-sweeps with plan reuse (:mod:`.iterative`, :mod:`.plan_cache`) and
-fail-stop aggregator degradation (:mod:`.fault`), which
-:mod:`repro.faults` generalizes to live fault injection and recovery.
+sweeps with plan reuse (:mod:`.iterative`, :mod:`.plan_cache`).  Fault
+tolerance lives in :mod:`repro.faults.resilient`, whose round-based
+recovery reuses this package's map, construction and reduce steps.
 """
 
 from .api import (local_read_compute, locate, object_get,
                   traditional_read_compute)
-from .fault import cc_read_compute_ft, degrade_plan
 from .iterative import (IterativeAnalysis, IterativeStats, shift_plan,
                         sliding_windows, translation_delta)
 from .map_engine import linear_indices_of_runs, map_pieces
@@ -46,7 +45,6 @@ __all__ = [
     "construct_per_rank",
     "global_reduce", "make_reduce_op",
     "CCResult", "cc_read_compute",
-    "cc_read_compute_ft", "degrade_plan",
     "IterativeAnalysis", "IterativeStats", "shift_plan",
     "sliding_windows", "translation_delta",
 ]

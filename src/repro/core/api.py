@@ -30,8 +30,7 @@ from .map_engine import linear_indices_of_runs
 from .metadata import CCStats
 from .object_io import ObjectIO
 from .plan_cache import PlanMemo
-from .reduction import global_reduce
-from .runtime import CCResult, cc_read_compute
+from .runtime import cc_read_compute, reduce_to_root
 
 
 def _memoized_plan(ctx: RankContext, file: PFSFile, oio: ObjectIO,
@@ -70,6 +69,18 @@ def traditional_read_compute(ctx: RankContext, file: PFSFile, oio: ObjectIO,
                                          timeline, plan=plan)
     else:
         buf = yield from independent_read(ctx, file, request)
+    result = yield from map_buffer_and_reduce(ctx, oio, request, buf,
+                                              timeline, stats)
+    return result
+
+
+def map_buffer_and_reduce(ctx: RankContext, oio: ObjectIO,
+                          request: AccessRequest, buf: np.ndarray,
+                          timeline: Optional[PhaseTimeline],
+                          stats: Optional[CCStats]) -> Generator:
+    """The traditional path's tail, once the rank's packed ``buf`` for
+    ``request`` is complete: map it, charge the compute, MPI_Reduce the
+    payload to the root."""
     payload = None
     if request.nbytes:
         values = buf.view(oio.spec.dtype)
@@ -83,11 +94,8 @@ def traditional_read_compute(ctx: RankContext, file: PFSFile, oio: ObjectIO,
             stats.map_time += ctx.kernel.now - t0
         if timeline is not None:
             timeline.record(ctx.rank, 0, "compute", t0, ctx.kernel.now)
-    result = CCResult(stats=stats)
-    result.local = None if payload is None else oio.op.finalize(payload)
     t1 = ctx.kernel.now
-    result.global_result = yield from global_reduce(ctx, oio.op, payload,
-                                                    oio.root, stats)
+    result = yield from reduce_to_root(ctx, oio, payload, stats)
     if stats is not None and ctx.rank == oio.root:
         stats.local_reduction_time += ctx.kernel.now - t1
     return result
@@ -163,10 +171,7 @@ def local_read_compute(ctx: RankContext, file: PFSFile, oio: ObjectIO,
             if timeline is not None:
                 timeline.record(ctx.rank, t, "map", t_map, kernel.now)
         payload = yield from combine_partials(ctx, oio.op, partials, stats)
-    result = CCResult(stats=stats)
-    result.local = None if payload is None else oio.op.finalize(payload)
-    result.global_result = yield from global_reduce(ctx, oio.op, payload,
-                                                    oio.root, stats)
+    result = yield from reduce_to_root(ctx, oio, payload, stats)
     return result
 
 

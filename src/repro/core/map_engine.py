@@ -16,12 +16,13 @@ inside the I/O pipeline.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..dataspace import DatasetSpec, RunList, reconstruct_run
 from ..errors import CollectiveComputingError
+from ..io.twophase import TwoPhasePlan
 from .metadata import PartialResult
 from .ops import MapReduceOp
 
@@ -83,6 +84,28 @@ def map_pieces(spec: DatasetSpec, op: MapReduceOp, window_data: np.ndarray,
         payload_nbytes=op.partial_nbytes(combined),
     )
     return partial, total_elements
+
+
+def map_window(spec: DatasetSpec, op: MapReduceOp, plan: TwoPhasePlan,
+               key: Tuple[int, int], window_data: np.ndarray,
+               window_read_lo: int,
+               ranks: Iterable[int]) -> Tuple[List[PartialResult], int]:
+    """Map each of ``ranks``' pieces of the plan window ``key`` =
+    ``(agg_idx, t)``.
+
+    Returns the non-empty partials, in ``ranks`` order, and the number
+    of elements mapped (for CPU charging)."""
+    agg_idx, t = key
+    partials: List[PartialResult] = []
+    total_elements = 0
+    for r in ranks:
+        partial, elements = map_pieces(spec, op, window_data, window_read_lo,
+                                       plan.window_pieces(r, agg_idx, t),
+                                       r, t)
+        if partial is not None:
+            partials.append(partial)
+            total_elements += elements
+    return partials, total_elements
 
 
 def linear_indices_of_runs(spec: DatasetSpec, runs: RunList) -> np.ndarray:

@@ -88,14 +88,11 @@ def make_reduce_op(op: MapReduceOp) -> Op:
 
 
 def global_reduce(ctx: RankContext, op: MapReduceOp, local_payload: Any,
-                  root: int, stats: Optional[CCStats] = None) -> Generator:
+                  root: int) -> Generator:
     """Tree-reduce per-rank payloads to ``root``; returns the finalized
     global result there (None elsewhere)."""
-    t0 = ctx.kernel.now
     combined = yield from coll.reduce(ctx.comm, local_payload,
                                       make_reduce_op(op), root=root)
-    if stats is not None:
-        stats.local_reduction_time += 0.0  # network time is not reduction CPU
     if ctx.rank != root:
         return None
     if combined is None:

@@ -31,7 +31,7 @@ from ..mpi import RankContext
 from ..mpi.comm import NodeSplit
 from ..pfs import PFSFile
 from ..profiling import PhaseTimeline
-from .map_engine import map_pieces
+from .map_engine import map_window
 from .metadata import CCStats, PartialResult
 from .object_io import ObjectIO
 from .ops import MapReduceOp
@@ -103,6 +103,17 @@ def _fold_partials(op: MapReduceOp, merged: Dict[int, PartialResult],
     return folds
 
 
+def reduce_to_root(ctx: RankContext, oio: ObjectIO, payload: Any,
+                   stats: Optional[CCStats]) -> Generator:
+    """Finish from this rank's combined ``payload``: finalize it as the
+    rank's local result and tree-reduce it to the root."""
+    result = CCResult(stats=stats)
+    result.local = None if payload is None else oio.op.finalize(payload)
+    result.global_result = yield from global_reduce(ctx, oio.op, payload,
+                                                    oio.root)
+    return result
+
+
 def _cc_aggregator_loop(ctx: RankContext, file: PFSFile, oio: ObjectIO,
                         plan: TwoPhasePlan, agg_idx: int, base_tag: int,
                         timeline: Optional[PhaseTimeline],
@@ -136,17 +147,12 @@ def _cc_aggregator_loop(ctx: RankContext, file: PFSFile, oio: ObjectIO,
         with the I/O thread's next read; the node's core resource
         arbitrates compute between overlapping windows."""
         t_map = kernel.now
-        partials: List[PartialResult] = []
-        total_elements = 0
-        for r in plan.window_ranks(agg_idx, t):
-            pieces = plan.window_pieces(r, agg_idx, t)
-            partial, elements = map_pieces(oio.spec, op, window_data,
-                                           read_lo, pieces, r, t)
-            if partial is not None:
-                partials.append(partial)
-                total_elements += elements
-                if stats is not None:
-                    stats.add_partial(partial)
+        partials, total_elements = map_window(
+            oio.spec, op, plan, (agg_idx, t), window_data, read_lo,
+            plan.window_ranks(agg_idx, t))
+        if stats is not None:
+            for partial in partials:
+                stats.add_partial(partial)
         # Worker threads on the node's idle cores preserve the job's
         # compute parallelism even with one aggregator rank per node.
         yield from ctx.compute_parallel(total_elements, op.ops_per_element)
@@ -381,7 +387,7 @@ def _cc_receiver_all_to_one(ctx: RankContext, oio: ObjectIO,
                             stats: Optional[CCStats],
                             staging: Optional[tuple] = None) -> Generator:
     """All-to-one mode, root side: collect the partial batches and
-    construct per-rank results.
+    construct the root's result (:func:`construct_at_root`).
 
     One-level: one batch per (aggregator, window).  Two-level
     (``staging=(ns, xnode_tag)``): one pre-combined batch per *node*
@@ -404,15 +410,37 @@ def _cc_receiver_all_to_one(ctx: RankContext, oio: ObjectIO,
                 req = ctx.comm.irecv(agg_rank, base_tag + t)
                 msg = yield from ctx.wait_recording(req.event, "wait")
                 received.extend(msg.data)
+    result = yield from construct_at_root(ctx, oio.op, received, stats)
+    return result
+
+
+def construct_at_root(ctx: RankContext, op: MapReduceOp,
+                      received: List[PartialResult],
+                      stats: Optional[CCStats]) -> Generator:
+    """All-to-one mode, root side (paper §III-C): re-verify any
+    digest-stamped partials, charge the construction, bucket the
+    partials by owning rank and finalize.  Returns the root's
+    :class:`CCResult` (``per_rank``, ``global_result`` and ``local``)."""
+    integ = getattr(ctx.machine, "integrity", None)
+    if integ is not None:
+        integ.verify_partials(ctx, received,
+                              f"rank {ctx.rank} root construct")
     t0 = ctx.kernel.now
     blocks = sum(len(p.blocks) for p in received)
     cost_units = (max(len(received), 1) * COMBINE_ELEMENT_COST
                   + blocks * BLOCK_PARSE_COST)
     yield from ctx.compute(cost_units, 1.0)
-    per_rank = construct_per_rank(oio.op, received)
+    payloads = construct_per_rank(op, received)
     if stats is not None:
         stats.local_reduction_time += ctx.kernel.now - t0
-    return per_rank
+    result = CCResult(stats=stats, per_rank={
+        r: op.finalize(p) for r, p in sorted(payloads.items())})
+    if payloads:
+        result.global_result = op.finalize(
+            op.combine_many(payloads.values()))
+    mine = payloads.get(ctx.rank)
+    result.local = None if mine is None else op.finalize(mine)
+    return result
 
 
 def cc_read_compute(ctx: RankContext, file: PFSFile, oio: ObjectIO,
@@ -467,7 +495,6 @@ def cc_read_compute(ctx: RankContext, file: PFSFile, oio: ObjectIO,
                                 timeline, stats, staging),
             name=f"ccagg:r{ctx.rank}",
         ))
-    result = CCResult(stats=stats)
     if oio.reduce_mode == "all_to_all":
         if two_level:
             recv_proc = ctx.kernel.process(
@@ -483,38 +510,27 @@ def cc_read_compute(ctx: RankContext, file: PFSFile, oio: ObjectIO,
             )
         procs.append(recv_proc)
         yield ctx.kernel.all_of(procs)
-        payload = recv_proc.value
-        result.local = None if payload is None else oio.op.finalize(payload)
-        result.global_result = yield from global_reduce(
-            ctx, oio.op, payload, oio.root, stats)
-    else:  # all_to_one
-        if two_level and ns.is_leader and any(
-                plan.windows[i] for i, a in enumerate(plan.aggregators)
-                if ctx.comm.comm.node_of(a) == ns.node_index):
-            procs.append(ctx.kernel.process(
-                _cc_stage_to_root(ctx, oio, plan, ns, stage_tag,
-                                  xnode_tag, stats),
-                name=f"ccstage:r{ctx.rank}",
-            ))
-        if ctx.rank == oio.root:
-            recv_proc = ctx.kernel.process(
-                _cc_receiver_all_to_one(
-                    ctx, oio, plan, base_tag, stats,
-                    (ns, xnode_tag) if two_level else None),
-                name=f"ccroot:r{ctx.rank}",
-            )
-            procs.append(recv_proc)
-            yield ctx.kernel.all_of(procs)
-            per_rank_payloads = recv_proc.value
-            result.per_rank = {
-                r: oio.op.finalize(p) for r, p in sorted(per_rank_payloads.items())
-            }
-            if per_rank_payloads:
-                result.global_result = oio.op.finalize(
-                    oio.op.combine_many(per_rank_payloads.values()))
-            my_payload = per_rank_payloads.get(ctx.rank)
-            result.local = (None if my_payload is None
-                            else oio.op.finalize(my_payload))
-        elif procs:
-            yield ctx.kernel.all_of(procs)
-    return result
+        result = yield from reduce_to_root(ctx, oio, recv_proc.value, stats)
+        return result
+    # all_to_one
+    if two_level and ns.is_leader and any(
+            plan.windows[i] for i, a in enumerate(plan.aggregators)
+            if ctx.comm.comm.node_of(a) == ns.node_index):
+        procs.append(ctx.kernel.process(
+            _cc_stage_to_root(ctx, oio, plan, ns, stage_tag,
+                              xnode_tag, stats),
+            name=f"ccstage:r{ctx.rank}",
+        ))
+    if ctx.rank == oio.root:
+        recv_proc = ctx.kernel.process(
+            _cc_receiver_all_to_one(
+                ctx, oio, plan, base_tag, stats,
+                (ns, xnode_tag) if two_level else None),
+            name=f"ccroot:r{ctx.rank}",
+        )
+        procs.append(recv_proc)
+        yield ctx.kernel.all_of(procs)
+        return recv_proc.value
+    if procs:
+        yield ctx.kernel.all_of(procs)
+    return CCResult(stats=stats)

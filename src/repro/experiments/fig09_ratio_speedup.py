@@ -16,6 +16,7 @@ from typing import Any, Dict
 
 from ..config import MiB
 from ..core import SUM_OP
+from ..errors import ConfigError
 from ..workloads.climate import interleaved_workload, ratio_ops_per_element
 from .common import (DEFAULT_HINTS, ExperimentResult, PAPER_COST,
                      hopper_platform, measure_io_time, run_objectio_job,
@@ -81,7 +82,16 @@ def run(per_rank_mib: float = 2.0,
         journal: Any = None) -> ExperimentResult:
     """Regenerate Figure 9 at ``per_rank_mib`` MiB per process (the
     paper reads an 800 GB dataset; speedup ratios are scale-invariant
-    under the cost model, see EXPERIMENTS.md)."""
+    under the cost model, see EXPERIMENTS.md).
+
+    ``ratios`` needs at least three entries: the summary averages the
+    computation-heavy and the I/O-heavy halves on either side of the
+    middle ratio, and each must be non-empty."""
+    if len(ratios) < 3:
+        raise ConfigError(
+            f"fig9 needs at least 3 computation:I/O ratios (a "
+            f"computation-heavy side, a middle and an I/O-heavy side); "
+            f"got {len(ratios)}: {tuple(ratios)!r}")
     [t_io] = sweep(_CALIB_FN, [dict(per_rank_mib=per_rank_mib)], cache=cache, journal=journal)
     payloads = sweep(_FN, points(per_rank_mib, ratios, t_io),
                      jobs=jobs, cache=cache, journal=journal)

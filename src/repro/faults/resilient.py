@@ -53,13 +53,12 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.api import map_buffer_and_reduce
 from ..core.metadata import CCStats, PartialResult
-from ..core.map_engine import map_pieces
+from ..core.map_engine import map_window
 from ..core.object_io import ObjectIO
-from ..core.reduction import (BLOCK_PARSE_COST, COMBINE_ELEMENT_COST,
-                              combine_partials, construct_per_rank,
-                              global_reduce)
-from ..core.runtime import CCResult
+from ..core.reduction import combine_partials
+from ..core.runtime import CCResult, construct_at_root, reduce_to_root
 from ..check.faults import check_recovery_coverage
 from ..check.flags import checks_enabled
 from ..errors import CollectiveComputingError, RecoveryError
@@ -252,36 +251,47 @@ def _resilient_exchange(ctx: RankContext, file: PFSFile,
     faults = getattr(ctx.machine, "faults", None)
     integ = getattr(ctx.machine, "integrity", None)
     wire_on = integ is not None and integ.config.wire_digests
-    all_keys: List[WindowKey] = _plan_keys(plan)
+    # Round 0 serves the plan's own schedule; each failover round then
+    # serves only the windows somebody missed.
+    keys: List[WindowKey] = _plan_keys(plan)
     n_aggs = len(plan.aggregators)
-    server_of = {key: plan.aggregators[key[0]] for key in all_keys}
-    slot_of = {key: plan.flat_index(*key) for key in all_keys}
-    targets = {key: receivers_of(key) for key in all_keys}
+    server_of = {key: plan.aggregators[key[0]] for key in keys}
+    slot_of = {key: plan.flat_index(*key) for key in keys}
+    targets = {key: receivers_of(key) for key in keys}
     got: Dict[WindowKey, Any] = {}
-    base_tag = ctx.comm.next_collective_tags(max(len(all_keys), 1))
-    if faults is not None:
-        faults.allow_drops(base_tag, base_tag + max(len(all_keys), 1))
-    assigned = sorted((slot_of[k], k) for k in all_keys
-                      if server_of[k] == ctx.rank)
-    expect = sorted((slot_of[k], k) for k in all_keys
-                    if ctx.rank in targets[k])
-    missed, corrupt = yield from _run_round(ctx, file, plan, assigned,
-                                            expect, targets, server_of,
-                                            base_tag, policy, 0,
-                                            make_payload, got)
-    # The agreement payload only changes shape when wire digests are on,
-    # keeping the legacy allgather bytes (and fig14 schedules) intact.
-    if wire_on:
-        entries = yield from coll.allgather(
-            ctx.comm, (tuple(missed), tuple(corrupt)))
-        missing, missed_by, timeouts = merge_missed_pairs(entries)
-    else:
-        entries = yield from coll.allgather(ctx.comm, tuple(missed))
-        missing, missed_by = merge_missed(entries)
-        timeouts = missing
     suspected: set = set()
     round_index = 0
-    while missing:
+    while True:
+        n_tags = max(len(keys), 1)
+        base_tag = ctx.comm.next_collective_tags(n_tags)
+        if faults is not None:
+            faults.allow_drops(base_tag, base_tag + n_tags)
+        assigned = sorted((slot_of[k], k) for k in keys
+                          if server_of[k] == ctx.rank)
+        expect = sorted((slot_of[k], k) for k in keys
+                        if ctx.rank in targets[k])
+        t0 = kernel.now
+        missed, corrupt = yield from _run_round(ctx, file, plan, assigned,
+                                                expect, targets, server_of,
+                                                base_tag, policy,
+                                                round_index, make_payload,
+                                                got)
+        if round_index and timeline is not None and (assigned or expect):
+            timeline.record(ctx.rank, round_index, "recovery", t0,
+                            kernel.now)
+        # The agreement payload only changes shape when wire digests are
+        # on, keeping the legacy allgather bytes (and fig14 schedules)
+        # intact.
+        if wire_on:
+            entries = yield from coll.allgather(
+                ctx.comm, (tuple(missed), tuple(corrupt)))
+            missing, missed_by, timeouts = merge_missed_pairs(entries)
+        else:
+            entries = yield from coll.allgather(ctx.comm, tuple(missed))
+            missing, missed_by = merge_missed(entries)
+            timeouts = missing
+        if not missing:
+            return got, [], {}
         suspected |= {server_of[k] for k in timeouts}
         alive = [a for a in plan.aggregators if a not in suspected]
         round_index += 1
@@ -300,35 +310,20 @@ def _resilient_exchange(ctx: RankContext, file: PFSFile,
                 "recover:failover", "job",
                 f"round {round_index}: {len(missing)} window(s) adopted "
                 f"by {len(alive)} surviving aggregator(s)")
-        assignment = assign_orphans(missing, alive)
+        keys = missing
+        server_of = assign_orphans(missing, alive)
         slot_of = {k: i for i, k in enumerate(missing)}
         targets = {k: missed_by[k] for k in missing}
-        base_tag = ctx.comm.next_collective_tags(len(missing))
-        if faults is not None:
-            faults.allow_drops(base_tag, base_tag + len(missing))
-        assigned = sorted((slot_of[k], k) for k in missing
-                          if assignment[k] == ctx.rank)
-        expect = sorted((slot_of[k], k) for k in missing
-                        if ctx.rank in targets[k])
-        t0 = kernel.now
-        missed, corrupt = yield from _run_round(ctx, file, plan, assigned,
-                                                expect, targets, assignment,
-                                                base_tag, policy,
-                                                round_index, make_payload,
-                                                got)
-        if timeline is not None and (assigned or expect):
-            timeline.record(ctx.rank, round_index, "recovery", t0,
-                            kernel.now)
-        if wire_on:
-            entries = yield from coll.allgather(
-                ctx.comm, (tuple(missed), tuple(corrupt)))
-            missing, missed_by, timeouts = merge_missed_pairs(entries)
-        else:
-            entries = yield from coll.allgather(ctx.comm, tuple(missed))
-            missing, missed_by = merge_missed(entries)
-            timeouts = missing
-        server_of = assignment
-    return got, [], {}
+
+
+def _refuse_two_level(hints: CollectiveHints) -> None:
+    """The round engine shuffles one-level only, so a ``two_level``
+    request raises rather than silently running one-level."""
+    if hints.two_level:
+        raise CollectiveComputingError(
+            "the fault-tolerant path does not support the two_level hint "
+            "(its shuffle is one-level only); clear two_level or use the "
+            "non-resilient object_get / collective_read")
 
 
 # -- raw two-phase read -----------------------------------------------------
@@ -346,6 +341,7 @@ def resilient_collective_read(ctx: RankContext, file: PFSFile,
     the round-based exchange of this module.
     """
     hints = hints or CollectiveHints()
+    _refuse_two_level(hints)
     policy = policy or RecoveryPolicy()
     plan = yield from make_plan(ctx, request.runs, file, hints)
 
@@ -384,7 +380,7 @@ def resilient_collective_read(ctx: RankContext, file: PFSFile,
     for key in missing:
         if ctx.rank not in missed_by.get(key, []):
             continue
-        pieces = plan.window_pieces(ctx.rank, key[0], key[1])
+        pieces = plan.window_pieces(ctx.rank, *key)
         if not len(pieces):
             continue
         degraded = True
@@ -416,29 +412,41 @@ def _stamp_partial(ctx: RankContext,
     return replace(partial, digest=partial_digest(partial))
 
 
+def _map_stamped(ctx: RankContext, oio: ObjectIO, plan: TwoPhasePlan,
+                 key: WindowKey, window_data: np.ndarray, read_lo: int,
+                 ranks: List[int], charge: Callable[[int, float], Generator],
+                 stats: Optional[CCStats]) -> Generator:
+    """Map ``ranks``' pieces of window ``key``, stamp the partials,
+    charge the CPU through ``charge`` and account it in ``stats``;
+    returns the stamped partials."""
+    t0 = ctx.kernel.now
+    partials, elements = map_window(oio.spec, oio.op, plan, key,
+                                    window_data, read_lo, ranks)
+    partials = [_stamp_partial(ctx, p) for p in partials]
+    yield from charge(elements, oio.op.ops_per_element)
+    if stats is not None:
+        for p in partials:
+            stats.add_partial(p)
+        stats.map_elements += elements
+        stats.map_time += ctx.kernel.now - t0
+    return partials
+
+
 def _self_map_window(ctx: RankContext, file: PFSFile, oio: ObjectIO,
                      plan: TwoPhasePlan, key: WindowKey,
                      policy: RecoveryPolicy,
                      stats: Optional[CCStats]) -> Generator:
     """Degraded mode: read and map this rank's own pieces of one
     unserved window (independent I/O + retry, no aggregator)."""
-    agg_idx, t = key
-    pieces = plan.window_pieces(ctx.rank, agg_idx, t)
+    pieces = plan.window_pieces(ctx.rank, *key)
     if not len(pieces):
         return None
     lo, hi = pieces.extent()
     data = yield from read_with_retry(ctx, file, lo, hi - lo, policy.retry)
-    window_data = np.frombuffer(data, dtype=np.uint8)
-    t0 = ctx.kernel.now
-    partial, elements = map_pieces(oio.spec, oio.op, window_data, lo,
-                                   pieces, ctx.rank, t)
-    partial = _stamp_partial(ctx, partial)
-    yield from ctx.compute(elements, oio.op.ops_per_element)
-    if stats is not None and partial is not None:
-        stats.add_partial(partial)
-        stats.map_elements += elements
-        stats.map_time += ctx.kernel.now - t0
-    return partial
+    partials = yield from _map_stamped(
+        ctx, oio, plan, key, np.frombuffer(data, dtype=np.uint8), lo,
+        [ctx.rank], ctx.compute, stats)
+    return partials[0]
 
 
 def resilient_cc_read_compute(ctx: RankContext, file: PFSFile,
@@ -460,6 +468,7 @@ def resilient_cc_read_compute(ctx: RankContext, file: PFSFile,
         raise CollectiveComputingError(
             "resilient_cc_read_compute got block=True; use "
             "resilient_object_get, which dispatches automatically")
+    _refuse_two_level(oio.hints)
     policy = policy or RecoveryPolicy()
     request = AccessRequest.from_subarray(oio.spec, oio.sub)
     grid = (oio.spec.file_offset, oio.spec.itemsize)
@@ -469,34 +478,15 @@ def resilient_cc_read_compute(ctx: RankContext, file: PFSFile,
 
     def make_payload(ctx: RankContext, window_data: np.ndarray,
                      read_lo: int, key: WindowKey, dest: int) -> Generator:
-        agg_idx, t = key
-        t0 = ctx.kernel.now
+        # All-to-all ships each rank its own partial; all-to-one ships
+        # the root every rank's partials of the window in one batch.
+        ranks = [dest] if all_to_all else plan.window_ranks(*key)
+        partials = yield from _map_stamped(ctx, oio, plan, key, window_data,
+                                           read_lo, ranks,
+                                           ctx.compute_parallel, stats)
         if all_to_all:
-            pieces = plan.window_pieces(dest, agg_idx, t)
-            partial, elements = map_pieces(oio.spec, op, window_data,
-                                           read_lo, pieces, dest, t)
-            partial = _stamp_partial(ctx, partial)
-            payload: Any = partial
-            partials = [] if partial is None else [partial]
-        else:
-            partials = []
-            elements = 0
-            for r in plan.window_ranks(agg_idx, t):
-                partial, n = map_pieces(oio.spec, op, window_data,
-                                        read_lo,
-                                        plan.window_pieces(r, agg_idx, t),
-                                        r, t)
-                if partial is not None:
-                    partials.append(_stamp_partial(ctx, partial))
-                    elements += n
-            payload = partials
-        yield from ctx.compute_parallel(elements, op.ops_per_element)
-        if stats is not None:
-            for p in partials:
-                stats.add_partial(p)
-            stats.map_elements += elements
-            stats.map_time += ctx.kernel.now - t0
-        return payload
+            return partials[0] if partials else None
+        return partials
 
     def receivers_of(key: WindowKey) -> List[int]:
         if all_to_all:
@@ -520,7 +510,6 @@ def resilient_cc_read_compute(ctx: RankContext, file: PFSFile,
             expected, got, self_served,
             f"resilient_cc_read_compute rank {ctx.rank}")
 
-    result = CCResult(stats=stats)
     if all_to_all:
         # Self-map the degraded windows into `got` first, then combine
         # in sorted window-key order — not arrival order, and not
@@ -537,9 +526,7 @@ def resilient_cc_read_compute(ctx: RankContext, file: PFSFile,
             timeline.record(ctx.rank, 0, "degraded", t0, ctx.kernel.now)
         received = [got[k] for k in sorted(got) if got[k] is not None]
         payload = yield from combine_partials(ctx, op, received, stats)
-        result.local = None if payload is None else op.finalize(payload)
-        result.global_result = yield from global_reduce(ctx, op, payload,
-                                                        oio.root, stats)
+        result = yield from reduce_to_root(ctx, oio, payload, stats)
         return result
 
     # all_to_one: the root collected per-window partial batches; the
@@ -573,30 +560,10 @@ def resilient_cc_read_compute(ctx: RankContext, file: PFSFile,
                 if partial is not None:
                     by_rank[r] = partial
             per_key[key] = [by_rank[r] for r in members if r in by_rank]
-    received_all: List[PartialResult] = [
-        p for key in sorted(per_key) for p in per_key[key]]
-    if ctx.rank == oio.root:
-        integ = getattr(ctx.machine, "integrity", None)
-        if integ is not None:
-            integ.verify_partials(ctx, received_all,
-                                  f"rank {ctx.rank} root construct")
-        t0 = ctx.kernel.now
-        blocks = sum(len(p.blocks) for p in received_all)
-        cost_units = (max(len(received_all), 1) * COMBINE_ELEMENT_COST
-                      + blocks * BLOCK_PARSE_COST)
-        yield from ctx.compute(cost_units, 1.0)
-        per_rank_payloads = construct_per_rank(op, received_all)
-        result.per_rank = {
-            r: op.finalize(p) for r, p in sorted(per_rank_payloads.items())
-        }
-        if per_rank_payloads:
-            result.global_result = op.finalize(
-                op.combine_many(per_rank_payloads.values()))
-        my_payload = per_rank_payloads.get(ctx.rank)
-        result.local = (None if my_payload is None
-                        else op.finalize(my_payload))
-        if stats is not None:
-            stats.local_reduction_time += ctx.kernel.now - t0
+    if ctx.rank != oio.root:
+        return CCResult(stats=stats)
+    result = yield from construct_at_root(
+        ctx, op, [p for key in sorted(per_key) for p in per_key[key]], stats)
     return result
 
 
@@ -627,8 +594,6 @@ def resilient_traditional_read_compute(ctx: RankContext, file: PFSFile,
     """Fault-tolerant baseline: complete the (resilient) I/O, then
     compute, then reduce — the recoverable twin of
     :func:`repro.core.api.traditional_read_compute`."""
-    from ..core.map_engine import linear_indices_of_runs
-
     policy = policy or RecoveryPolicy()
     request = AccessRequest.from_subarray(oio.spec, oio.sub)
     if oio.mode == "collective":
@@ -638,23 +603,8 @@ def resilient_traditional_read_compute(ctx: RankContext, file: PFSFile,
     else:
         buf = yield from _independent_read_with_retry(ctx, file, request,
                                                       policy)
-    payload = None
-    if request.nbytes:
-        values = buf.view(oio.spec.dtype)
-        indices = (linear_indices_of_runs(oio.spec, request.runs)
-                   if oio.op.needs_indices else None)
-        t0 = ctx.kernel.now
-        payload = oio.op.map_chunk(values, indices)
-        yield from ctx.compute(values.size, oio.op.ops_per_element)
-        if stats is not None:
-            stats.map_elements += values.size
-            stats.map_time += ctx.kernel.now - t0
-        if timeline is not None:
-            timeline.record(ctx.rank, 0, "compute", t0, ctx.kernel.now)
-    result = CCResult(stats=stats)
-    result.local = None if payload is None else oio.op.finalize(payload)
-    result.global_result = yield from global_reduce(ctx, oio.op, payload,
-                                                    oio.root, stats)
+    result = yield from map_buffer_and_reduce(ctx, oio, request, buf,
+                                              timeline, stats)
     return result
 
 

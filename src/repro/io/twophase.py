@@ -251,7 +251,7 @@ class TwoPhasePlan:
         * no window holds bytes nobody requested beyond its bounds.
 
         Raises :class:`~repro.errors.IOLayerError` on violation.  Used
-        by tests and by the fault-tolerance plan surgery.
+        by tests and the plan sanitizers.
         """
         global_runs = self.global_runs
         covered = 0

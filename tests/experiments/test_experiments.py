@@ -7,6 +7,7 @@ records at full benchmark scale.
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.experiments import registry
 from repro.experiments import (fig01_io_profile, fig02_cpu_collective,
                                fig03_cpu_independent, fig09_ratio_speedup,
@@ -63,6 +64,13 @@ def test_fig9_shape():
     # Peak in the middle (at 1:1), both sides lower.
     assert speedups[1] == max(speedups)
     assert all(s > 1.0 for s in speedups)
+
+
+@pytest.mark.parametrize("ratios", [((1, 1),), ((2, 1), (1, 2))])
+def test_fig9_rejects_degenerate_ratio_sweep(ratios):
+    # Fewer than 3 ratios leaves one summary half empty.
+    with pytest.raises(ConfigError, match="at least 3"):
+        fig09_ratio_speedup.run(per_rank_mib=0.5, ratios=ratios)
 
 
 def test_fig10_shape():

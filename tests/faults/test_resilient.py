@@ -8,9 +8,10 @@ from repro.cluster import Machine
 from repro.config import small_test_machine
 from repro.core import ObjectIO, SUM_OP, object_get
 from repro.dataspace import DatasetSpec, Subarray, block_partition
+from repro.errors import CollectiveComputingError
 from repro.faults import (FaultInjector, FaultPlan, RecoveryPolicy,
-                          RetryPolicy, resilient_collective_read,
-                          resilient_object_get)
+                          RetryPolicy, resilient_cc_read_compute,
+                          resilient_collective_read, resilient_object_get)
 from repro.io import AccessRequest, CollectiveHints
 from repro.io.twophase import collective_read
 from repro.mpi import mpi_run
@@ -50,9 +51,29 @@ def run_plain(**oio_kw):
     return mpi_run(m, NPROCS, main)
 
 
-def run_resilient(plan=None, policy=None, **oio_kw):
+class FailStop(FaultInjector):
+    """Test-only injector: the aggregators in ``failed`` fail-stop before
+    serving their first round-0 window (the pre-job fail-stop model);
+    every other decision is the plan's."""
+
+    failed = frozenset()
+
+    def crash_iteration(self, rank, n_windows, round_index=0):
+        if round_index == 0 and rank in self.failed:
+            self.record("inject:agg-crash", f"rank{rank}",
+                        "fail-stop before round 0")
+            return 0
+        return super().crash_iteration(rank, n_windows, round_index)
+
+
+def run_resilient(plan=None, policy=None, failed=None, **oio_kw):
     k, m, f = build()
-    inj = FaultInjector.attach(m, plan) if plan is not None else None
+    inj = None
+    if failed is not None:
+        inj = FailStop.attach(m, plan or FaultPlan())
+        inj.failed = frozenset(failed)
+    elif plan is not None:
+        inj = FaultInjector.attach(m, plan)
 
     def main(ctx):
         oio = ObjectIO(DSPEC, PARTS[ctx.rank], SUM_OP, hints=HINTS,
@@ -163,6 +184,63 @@ def test_failover_all_to_one_preserves_results():
     res, inj, _ = run_resilient(plan=plan, reduce_mode="all_to_one")
     assert "inject:agg-crash" in {r.kind for r in inj.records}
     assert_same_results(res, run_plain(reduce_mode="all_to_one"))
+
+
+# -- pre-job fail-stop -------------------------------------------------------
+
+def test_failstop_results_identical_under_failures():
+    plain = run_plain()
+    g = plain[0].global_result
+    one, inj, _ = run_resilient(failed={4})
+    two, _, _ = run_resilient(failed={0, 8})
+    assert [r.location for r in inj.injected()] == ["rank4"]
+    assert one[0].global_result == pytest.approx(g)
+    assert two[0].global_result == pytest.approx(g)
+    # Per-rank results survive too.
+    assert_same_results(one, plain)
+
+
+def test_failstop_degrades_performance_not_correctness():
+    _, _, t_ok = run_resilient()
+    _, _, t_deg = run_resilient(failed={0, 4})  # one survivor serves all
+    assert t_deg > t_ok
+
+
+def test_failstop_matches_traditional_answer():
+    baseline = run_plain(block=True)[0].global_result
+    res, _, _ = run_resilient(failed={8})
+    assert res[0].global_result == pytest.approx(baseline)
+
+
+def test_cc_path_rejects_blocking():
+    k, m, f = build()
+
+    def main(ctx):
+        oio = ObjectIO(DSPEC, GSUB, SUM_OP, block=True)
+        with pytest.raises(CollectiveComputingError):
+            yield from resilient_cc_read_compute(ctx, f, oio)
+        yield ctx.kernel.timeout(0)
+        return None
+
+    mpi_run(m, 1, main)
+
+
+@pytest.mark.parametrize("block", [True, False])
+def test_two_level_hint_rejected(block):
+    """The resilient shuffle is one-level only: asking for two_level
+    raises instead of silently downgrading."""
+    k, m, f = build()
+    hints = CollectiveHints(cb_buffer_size=1024, two_level=True)
+
+    def main(ctx):
+        oio = ObjectIO(DSPEC, PARTS[ctx.rank], SUM_OP, block=block,
+                       hints=hints)
+        with pytest.raises(CollectiveComputingError, match="two_level"):
+            yield from resilient_object_get(ctx, f, oio)
+        yield ctx.kernel.timeout(0)
+        return None
+
+    mpi_run(m, NPROCS, main)
 
 
 # -- degradation ------------------------------------------------------------
