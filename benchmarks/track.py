@@ -16,6 +16,11 @@ few milliseconds.  The simulated figures (speedups, cc_s) are
 deterministic and recorded alongside as machine-independent ground
 truth.
 
+The run's deterministic work counts (kernel events ``sim.events`` and
+spawned processes ``sim.processes``, from one extra run with the
+metrics registry on) are machine-independent too, so they are gated
+exactly: any rise over the recorded counts fails the run.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/track.py             # measure + check
@@ -36,6 +41,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.experiments import fig10_scalability  # noqa: E402
+from repro.obs import metrics  # noqa: E402
 from repro.pfs import datasource  # noqa: E402
 
 #: The quick configuration the acceptance criterion names.
@@ -45,6 +51,9 @@ QUICK_KWARGS = dict(per_rank_mib=1.0, process_counts=(24, 48, 120))
 SEED_WALL_S = 3.87
 
 BENCH_PATH = REPO_ROOT / "BENCH_paper.json"
+
+#: Deterministic work counters gated exactly (any rise fails).
+WORK_COUNTERS = ("sim.events", "sim.processes")
 
 
 def measure(runs: int):
@@ -66,6 +75,16 @@ def measure(runs: int):
         rows = this_rows
         print(f"  run {i + 1}/{runs}: {walls[-1]:.3f}s")
     return statistics.median(walls), walls, result
+
+
+def count_work():
+    """The deterministic work counters of one untimed run."""
+    with metrics.override_obs(True):
+        fig10_scalability.run(**QUICK_KWARGS)
+        counters = metrics.current().snapshot()["counters"]
+    work = {name: int(counters[name]) for name in WORK_COUNTERS}
+    print("  work: " + ", ".join(f"{k}={v}" for k, v in work.items()))
+    return work
 
 
 def measure_parallel(jobs: int, serial_rows):
@@ -126,6 +145,8 @@ def main() -> int:
     print(f"  median: {median:.3f}s  (seed baseline {SEED_WALL_S:.2f}s, "
           f"{SEED_WALL_S / median:.2f}x)")
 
+    work = count_work()
+
     parallel_wall = None
     cache_walls = None
     if args.parallel_jobs > 0:
@@ -137,8 +158,21 @@ def main() -> int:
         previous = json.loads(BENCH_PATH.read_text())
 
     reference = None
+    work_reference = {}
     if previous is not None:
         reference = previous.get("fig10_quick", {}).get("reference_wall_s")
+        work_reference = previous.get("fig10_quick_work", {})
+
+    work_rose = [] if args.no_check else [
+        name for name, count in work.items()
+        if count > work_reference.get(name, count)]
+    for name in work_rose:
+        print(f"  {name}: {work[name]} > recorded {work_reference[name]} "
+              f"-> REGRESSION")
+    # Ratchet downward only, like the wall reference.
+    work_reference = dict(work) if args.update else {
+        name: min(count, work_reference.get(name, count))
+        for name, count in work.items()}
 
     regressed = False
     if reference is not None and not args.no_check:
@@ -165,6 +199,8 @@ def main() -> int:
             "last_runs": [round(w, 4) for w in walls],
             "speedup_vs_seed": round(SEED_WALL_S / median, 3),
         },
+        # Deterministic work counts (machine-independent, gated exactly).
+        "fig10_quick_work": work_reference,
         # Deterministic simulated numbers (machine-independent).
         "simulated": {
             "headers": result.headers,
@@ -189,6 +225,9 @@ def main() -> int:
     if regressed and not args.update:
         print(f"FAIL: median {median:.3f}s regressed more than "
               f"{args.threshold:.0%} over reference")
+        return 1
+    if work_rose and not args.update:
+        print(f"FAIL: work counts rose: {', '.join(work_rose)}")
         return 1
     return 0
 

@@ -34,8 +34,10 @@ Every happens-before edge in the system flows through
 ``Event.succeed()/fail() → Kernel.schedule()``: message delivery
 (the recv event succeeds with the message), resource grants (release
 succeeds the next request), store hand-offs, process fork (the
-bootstrap event) and join (the process *is* an event).  So the tracker
-only hooks the kernel spine:
+bootstrap event) and join (the process *is* an event).  A message send
+is a chain of event callbacks, not a process: its edges flow through
+the ambient clocks of its events and the NIC lock clocks.  So the
+tracker only hooks the kernel spine:
 
 * ``Kernel.schedule`` stamps the scheduling context's clock onto the
   event (:attr:`Event._vc`);
@@ -49,10 +51,9 @@ The MPI layer then needs only race *detection* bookkeeping — which
 sends are enabled, which recv matched — not edge recording.
 
 Scale note: vector clocks are dicts over dynamically created task ids
-(every simulated process, including per-message transfer processes,
-gets one), so tracking cost grows with both event count and task
-count.  The tracker is built for smoke-/test-scale runs; full quick
-figures are exercised through the schedule shaker
+(every simulated process gets one), so tracking cost grows with both
+event count and task count.  The tracker is built for smoke-/test-scale
+runs; full quick figures are exercised through the schedule shaker
 (:mod:`repro.check.shake`), which needs no clocks at all.
 
 Findings are *recorded*, not raised mid-run (a race is a property of

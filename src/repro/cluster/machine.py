@@ -8,7 +8,7 @@ the next one).
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Sequence, Tuple
 
 from ..config import PlatformSpec
 from ..errors import ConfigError
@@ -54,6 +54,8 @@ class Machine:
         #: receive and partial results carry provenance digests
         #: re-verified at reduce time.
         self.integrity = None
+        # nprocs -> placement table, built once per job size.
+        self._placements: Dict[int, Tuple[List[int], Dict[int, List[int]]]] = {}
 
     # -- placement -------------------------------------------------------
     def node_of_rank(self, rank: int, nprocs: int) -> int:
@@ -77,9 +79,22 @@ class Machine:
             )
         return extra + (rank - boundary) // per
 
+    def placement(self, nprocs: int
+                  ) -> Tuple[List[int], Dict[int, List[int]]]:
+        """The block placement of an ``nprocs``-rank job, computed once:
+        the node of each rank, and each occupied node's ranks
+        (ascending).  Shared by every caller, which must not mutate it.
+        """
+        table = self._placements.get(nprocs)
+        if table is None:
+            node_of = [self.node_of_rank(r, nprocs) for r in range(nprocs)]
+            table = self._placements[nprocs] = (node_of,
+                                                group_by_node(node_of))
+        return table
+
     def ranks_on_node(self, node: int, nprocs: int) -> List[int]:
         """All ranks placed on ``node`` for a job of ``nprocs`` ranks."""
-        return [r for r in range(nprocs) if self.node_of_rank(r, nprocs) == node]
+        return list(self.placement(nprocs)[1].get(node, ()))
 
     def validate_job(self, nprocs: int, allow_oversubscribe: bool = False) -> None:
         """Check that ``nprocs`` ranks fit the machine's cores."""
@@ -95,3 +110,12 @@ class Machine:
         return (f"<Machine nodes={self.spec.nodes} "
                 f"cores/node={self.spec.cores_per_node} "
                 f"osts={self.spec.n_osts}>")
+
+
+def group_by_node(node_of: Sequence[int]) -> Dict[int, List[int]]:
+    """Node index -> the ranks placed on it (ascending), for occupied
+    nodes, given the node of each rank."""
+    groups: Dict[int, List[int]] = {}
+    for rank, node in enumerate(node_of):
+        groups.setdefault(node, []).append(rank)
+    return groups

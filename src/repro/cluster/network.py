@@ -6,6 +6,12 @@ NIC and the receiver's inbound NIC, so concurrent messages through the
 same endpoint serialize (store-and-forward at the endpoints).  Intra-node
 transfers bypass the NICs and use the shared-memory cost instead.
 
+:meth:`Network.transfer` is a chain of event callbacks (NIC grants,
+then the timed transfer), so a message costs a handful of events and
+no simulated process.  :meth:`Network.inject` and
+:meth:`Network.eject` stay generators: they run inline (``yield
+from``) inside the file system's read and write processes.
+
 The deadlock-freedom argument for holding two resources: a transfer
 acquires ``src.nic_out`` before ``dst.nic_in``; since the ``nic_out`` and
 ``nic_in`` pools are disjoint, no cycle of waits can form between
@@ -14,10 +20,10 @@ transfers (an out-holder waits only on in-slots, never on out-slots).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List
+from typing import Callable, Dict, Generator, List
 
 from ..config import CostModel
-from ..sim import Kernel
+from ..sim import Event, Kernel
 from .node import Node
 from .topology import MeshTopology
 
@@ -59,35 +65,44 @@ class Network:
         else:
             self.inter_node_bytes += nbytes
 
-    def transfer(self, src: int, dst: int, nbytes: int) -> Generator:
-        """Sub-process performing one message transfer.
+    def transfer(self, src: int, dst: int, nbytes: int,
+                 then: Callable[[Event], None]) -> None:
+        """Start one message transfer; ``then(event)`` runs once the
+        message has been fully delivered.
 
-        Yields until the message has been fully delivered.  Use as::
-
-            yield ctx.kernel.process(network.transfer(a, b, n))
-
-        or inline with ``yield from``.
+        A callback chain, not a process: ``src.nic_out`` request, on
+        grant ``dst.nic_in`` request, on grant a timeout for the
+        alpha/beta cost, then both NICs are released (inbound first)
+        and ``then`` is called with the expired timeout.  An intra-node
+        transfer is one timed callback at the shared-memory cost.
         """
         if nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")
         self._account(src, dst, nbytes)
+        kernel = self.kernel
         if src == dst:
-            yield self.kernel.timeout(self.cost.intra_node_msg_time(nbytes))
+            kernel.timeout(self.cost.intra_node_msg_time(nbytes)
+                           ).callbacks.append(then)
             return
-        src_node = self.nodes[src]
-        dst_node = self.nodes[dst]
-        hops = self.topology.hops(src, dst)
-        out_req = src_node.nic_out.request()
-        yield out_req
-        try:
-            in_req = dst_node.nic_in.request()
-            yield in_req
-            try:
-                yield self.kernel.timeout(self.cost.msg_time(nbytes, hops))
-            finally:
-                dst_node.nic_in.release(in_req)
-        finally:
-            src_node.nic_out.release(out_req)
+        nic_out = self.nodes[src].nic_out
+        nic_in = self.nodes[dst].nic_in
+        msg_time = self.cost.msg_time(nbytes, self.topology.hops(src, dst))
+        out_req = nic_out.request()
+
+        def out_granted(_ev: Event) -> None:
+            in_req = nic_in.request()
+
+            def in_granted(_ev: Event) -> None:
+                def sent(ev: Event) -> None:
+                    nic_in.release(in_req)
+                    nic_out.release(out_req)
+                    then(ev)
+
+                kernel.timeout(msg_time).callbacks.append(sent)
+
+            in_req.callbacks.append(in_granted)
+
+        out_req.callbacks.append(out_granted)
 
     def inject(self, dst: int, nbytes: int) -> Generator:
         """Sub-process: storage-to-compute traffic arriving at ``dst``.

@@ -7,7 +7,7 @@ latency scale the same way they do on the paper's testbed:
 * ``bcast`` / ``reduce`` — binomial trees.
 * ``allreduce`` — reduce to 0 + bcast.
 * ``gather`` / ``scatter`` — linear with the root.
-* ``allgather`` — ring (P-1 steps).
+* ``allgather`` — Bruck (⌈log2 P⌉ rounds of contiguous blocks).
 * ``alltoall`` — P-1 pairwise exchange rounds; per-destination payloads
   of arbitrary (differing) sizes make this double as ``alltoallv``.
 
@@ -179,38 +179,40 @@ def allgather(comm: CommHandle, value: Any) -> Generator:
     """Bruck allgather (⌈log2 P⌉ rounds) — MPICH's small-message
     algorithm; every rank returns the rank-ordered value list.
 
-    Round ``k`` sends everything collected so far to ``rank - 2^k`` and
-    receives from ``rank + 2^k``, doubling the collected set.  For
-    non-power-of-two sizes the final round over-sends slightly (the
-    dict merge absorbs duplicates), exactly like the classic algorithm's
-    remainder step.
+    Each rank carries one contiguous block: after round ``k`` rank ``r``
+    holds the values of ranks ``r … r+2^(k+1)-1`` (mod P).  Round ``k``
+    sends the block to ``rank - 2^k`` and appends the block received
+    from ``rank + 2^k``.  For non-power-of-two sizes the last round
+    over-sends slightly, exactly like the classic algorithm's remainder
+    step; the final rotation to rank order keeps the first P values.
     """
     comm.trace_collective("allgather", value)
     size, rank = comm.size, comm.rank
     rounds = _ceil_log2(size)
     base_tag = comm.next_collective_tags(max(rounds, 1))
-    collected = {rank: value}
-    # Track the dict's wire size incrementally (8 bytes per int key plus
-    # each value, measured once on arrival) instead of re-walking the
-    # whole payload every round — the per-round size grows as 2^k.
+    block = [value]
+    # Wire size of the block's entries (8 bytes of rank key plus the
+    # value each, the classic dict encoding): this rank measures only
+    # its own value and reads the rest off each arriving envelope.
     payload_bytes = 8 + wire_size(value)
     step = 1
     k = 0
     while step < size:
         dst = (rank - step) % size
         src = (rank + step) % size
-        req = comm.isend(dict(collected), dst, base_tag + k,
+        req = comm.isend(block, dst, base_tag + k,
                          nbytes=CONTAINER_OVERHEAD + payload_bytes)
-        incoming = yield from comm.recv(src, base_tag + k)
+        msg = yield from comm.recv_msg(src, base_tag + k)
         yield req.event
-        for r, v in incoming.items():
-            if r not in collected:
-                collected[r] = v
-                payload_bytes += 8 + wire_size(v)
+        # A fresh list: the block just sent may not be received yet.
+        block = block + msg.data
+        payload_bytes += msg.nbytes - CONTAINER_OVERHEAD
         step <<= 1
         k += 1
     comm.trace_collective_exit("allgather")
-    return [collected[i] for i in range(size)]
+    # Rotate to rank order; the slice also drops the last round's
+    # wrapped-around duplicates.
+    return block[size - rank:size] + block[:size - rank]
 
 
 def allgather_ring(comm: CommHandle, value: Any) -> Generator:

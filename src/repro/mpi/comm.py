@@ -14,6 +14,12 @@ Semantics (eager protocol with unlimited buffering):
   ordering; ``ANY_SOURCE``/``ANY_TAG`` wildcards are supported.
 * Nonblocking variants return a :class:`Request` the caller yields on.
 
+A send spawns no process.  :meth:`CommHandle.isend` starts the
+:meth:`~repro.cluster.network.Network.transfer` callback chain (NIC-out
+grant, NIC-in grant, timed transfer) and returns a request on a plain
+event; the chain's continuation takes the fault decision, sequences
+the pair, delivers, and then succeeds that event.
+
 Tags below :data:`MIN_RESERVED_TAG` are for users; collectives use the
 reserved space with per-collective sequence numbers (see
 :mod:`repro.mpi.collectives`).
@@ -27,6 +33,7 @@ from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..check.flags import checks_enabled
 from ..cluster import Machine
+from ..cluster.machine import group_by_node
 from ..errors import MPIError
 from ..obs import metrics
 from ..sim import Event, Kernel
@@ -179,8 +186,6 @@ class Communicator:
         #: repeated splits producing the same group reuse one object and
         #: the registry stays bounded by the number of distinct groups.
         self._subcomms: Dict[Tuple[int, ...], "Communicator"] = {}
-        # Lazily built node -> member world ranks table (ascending).
-        self._node_groups: Optional[Dict[int, List[int]]] = None
         self._unexpected: List[Deque[Message]] = [deque() for _ in range(nprocs)]
         self._posted: List[List[_PostedRecv]] = [[] for _ in range(nprocs)]
         # Per-(source, dest) sequencing enforcing MPI's non-overtaking
@@ -214,13 +219,14 @@ class Communicator:
         # Deadlock reports always include this communicator's pending
         # receives (zero cost until a deadlock is being diagnosed).
         kernel.watch_deadlocks(self)
-        # Rank -> node lookup table (placement is fixed for the life of
-        # the communicator; node_of is on the per-message hot path).
-        self._node_of: List[int] = [
-            self.node_map[r] if self.node_map is not None
-            else machine.node_of_rank(r, nprocs)
-            for r in range(nprocs)
-        ]
+        # Rank -> node table (on the per-message hot path) and node ->
+        # member ranks; placement is fixed for the communicator's life.
+        # A world communicator shares the machine's tables.
+        if self.node_map is None:
+            self._node_of, self._node_groups = machine.placement(nprocs)
+        else:
+            self._node_of = self.node_map
+            self._node_groups = group_by_node(self.node_map)
 
     # -- helpers -----------------------------------------------------------
     def check_rank(self, rank: int) -> None:
@@ -240,16 +246,7 @@ class Communicator:
 
     def node_groups(self) -> Dict[int, List[int]]:
         """Node index -> member ranks (ascending), for occupied nodes.
-
-        Built lazily from the placement table and cached — placement is
-        fixed for the life of the communicator.  Callers must not
-        mutate the returned lists.
-        """
-        if self._node_groups is None:
-            groups: Dict[int, List[int]] = {}
-            for r in range(self.nprocs):
-                groups.setdefault(self._node_of[r], []).append(r)
-            self._node_groups = groups
+        Callers must not mutate the returned lists."""
         return self._node_groups
 
     def node_leader(self, node: int) -> int:
@@ -289,24 +286,55 @@ class Communicator:
                 return msg
         return None
 
-    # -- transfer process ------------------------------------------------------
-    def _send_proc(self, msg: Message, seq: int) -> Generator:
-        src_node = self.node_of(msg.source)
-        dst_node = self.node_of(msg.dest)
-        yield from self.machine.network.transfer(src_node, dst_node, msg.nbytes)
-        dropped = False
-        faults = self.machine.faults
-        if faults is not None:
-            dropped, delay = faults.message_decision(msg)
-            if dropped and self.races is not None:
-                self.races.note_drop(msg)
-            if delay > 0:
-                yield self.kernel.timeout(delay)
+    # -- message transfer ------------------------------------------------------
+    def _start_send(self, msg: Message, seq: int) -> Event:
+        """Put ``msg``, the ``seq``-th message of its pair, on the wire;
+        the returned event fires once it is delivered (or dropped).
+
+        No process: :meth:`Network.transfer` runs the NIC and timing
+        callbacks, and its continuation takes the fault decision (a
+        delay is one more timeout), corrupts in transit, sequences the
+        pair and delivers.
+        """
+        done = Event(self.kernel, name="send")
+
+        def arrived(_ev: Event) -> None:
+            faults = self.machine.faults
+            if faults is None:
+                self._sequence(msg, seq, False)
+                done.succeed()
+            else:
+                self._land_faulted(msg, seq, done, faults)
+
+        self.machine.network.transfer(self._node_of[msg.source],
+                                      self._node_of[msg.dest], msg.nbytes,
+                                      arrived)
+        return done
+
+    def _land_faulted(self, msg: Message, seq: int, done: Event,
+                      faults: Any) -> None:
+        """The send chain's arrival under a fault injector: drop or
+        delay (one more timeout), corrupt in transit, then sequence."""
+        dropped, delay = faults.message_decision(msg)
+        if dropped and self.races is not None:
+            self.races.note_drop(msg)
+
+        def land(_ev: Optional[Event] = None) -> None:
             if not dropped and faults.plan.corrupt_msg_rate:
                 # In-transit bit flip on the delivered copy; the sender's
                 # object is untouched, so a re-send draws a fresh decision
                 # (the repair round uses a fresh tag).
                 msg.data = faults.corrupt_message(msg)
+            self._sequence(msg, seq, dropped)
+            done.succeed()
+
+        if delay > 0:
+            self.kernel.timeout(delay).callbacks.append(land)
+        else:
+            land()
+
+    def _sequence(self, msg: Message, seq: int, dropped: bool) -> None:
+        """Deliver ``msg`` in pair order, then drain held-back messages."""
         pair = (msg.source, msg.dest)
         expected = self._pair_next_in.get(pair, 0)
         if seq != expected:
@@ -316,7 +344,7 @@ class Communicator:
             # pair would wait forever on a delivery that never happens.
             self._held_back.setdefault(pair, {})[seq] = (
                 None if dropped else msg)
-            return None
+            return
         if not dropped:
             self._deliver(msg)
         expected += 1
@@ -327,7 +355,6 @@ class Communicator:
                 self._deliver(held_msg)
             expected += 1
         self._pair_next_in[pair] = expected
-        return None
 
     def idle_ranks(self) -> int:  # pragma: no cover - diagnostics
         """Ranks with posted-but-unmatched receives (debug aid)."""
@@ -398,27 +425,29 @@ class CommHandle:
     def isend(self, data: Any, dest: int, tag: int = 0,
               nbytes: Optional[int] = None) -> Request:
         """Start a nonblocking send; returns a :class:`Request`."""
-        self.comm.check_rank(dest)
+        comm = self.comm
+        comm.check_rank(dest)
         if tag < 0:
             raise MPIError(f"negative tag {tag}")
         size = wire_size(data) if nbytes is None else int(nbytes)
+        if size < 0:
+            raise MPIError(f"negative message size {size}")
         msg = Message(self.rank, dest, tag, data, size)
-        races = self.comm.races
+        races = comm.races
         if races is not None:
             races.note_send(msg)
-        self.comm.messages_sent += 1
-        self.comm.bytes_sent += size
+        comm.messages_sent += 1
+        comm.bytes_sent += size
         m = metrics.current()
         if m is not None:
             m.count("mpi.messages")
             m.count("mpi.wire_bytes", size)
             m.observe("mpi.msg_bytes", size, MSG_BYTES_EDGES)
         pair = (self.rank, dest)
-        seq = self.comm._pair_next_out.get(pair, 0)
-        self.comm._pair_next_out[pair] = seq + 1
-        proc = self.kernel.process(self.comm._send_proc(msg, seq),
-                                   name="send")
-        return Request(proc)
+        pair_next = comm._pair_next_out
+        seq = pair_next.get(pair, 0)
+        pair_next[pair] = seq + 1
+        return Request(comm._start_send(msg, seq))
 
     def send(self, data: Any, dest: int, tag: int = 0,
              nbytes: Optional[int] = None) -> Generator:
@@ -430,15 +459,16 @@ class CommHandle:
     # -- receives ----------------------------------------------------------
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Post a nonblocking receive; the request's value is the payload."""
+        comm = self.comm
         if source != ANY_SOURCE:
-            self.comm.check_rank(source)
-        ev = self.kernel.event(name="recv")
-        msg = self.comm._match_unexpected(self.rank, source, tag)
+            comm.check_rank(source)
+        ev = Event(comm.kernel, name="recv")
+        msg = comm._match_unexpected(self.rank, source, tag)
         if msg is not None:
             ev.succeed(msg)
             return Request(ev)
         posted = _PostedRecv(source, tag, ev)
-        posted_in = self.comm._posted[self.rank]
+        posted_in = comm._posted[self.rank]
         posted_in.append(posted)
         return Request(ev, posted_in, posted)
 

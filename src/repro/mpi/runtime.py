@@ -157,8 +157,7 @@ def build_contexts(machine: Machine, nprocs: int,
     machine.validate_job(nprocs, allow_oversubscribe=allow_oversubscribe)
     comm = Communicator(machine.kernel, machine, nprocs)
     return [
-        RankContext(comm.handle(r), machine,
-                    machine.nodes[machine.node_of_rank(r, nprocs)],
+        RankContext(comm.handle(r), machine, machine.nodes[comm.node_of(r)],
                     profiler=profiler)
         for r in range(nprocs)
     ]
@@ -188,10 +187,12 @@ def mpi_run(machine: Machine, nprocs: int,
     m = metrics.current()
     if m is not None:
         # Sampled once per job (never inside the event loop): the event
-        # count is the kernel's schedule sequence number, the simulated
-        # wall is its clock at quiescence.
+        # count is the kernel's schedule sequence number, the process
+        # count its spawn counter, the simulated wall its clock at
+        # quiescence.
         m.count("sim.runs")
         m.count("sim.events", machine.kernel._seq)
+        m.count("sim.processes", machine.kernel._spawned)
         m.count("sim.time", machine.kernel.now)
     for p in procs:
         if not p.triggered:  # pragma: no cover - defensive

@@ -18,6 +18,8 @@ Every invocation also cross-checks the manifest invariants:
   recorded whenever shuffle bytes are), and the two split terms must
   sum back to the shuffle total — so a two-level run can never
   satisfy the totals by mis-attributing a hop's locality;
+* ``sim.processes <= sim.events`` — each spawned process schedules at
+  least its bootstrap event;
 * with integrity metrics present, every injected corruption was
   detected (``faults.inject:*-corrupt == faults.detect:*-corrupt``),
   nothing reached the reduce-time provenance check, and detections
@@ -97,6 +99,13 @@ def check_invariants(manifest: Dict[str, Any], origin: str = "manifest"
             f"io.intranode_bytes={_fmt(intra)} + "
             f"io.internode_bytes={_fmt(inter)} != "
             f"io.shuffle_bytes={_fmt(total)}")
+
+    events = counters.get("sim.events")
+    processes = counters.get("sim.processes")
+    if events is not None and processes is not None and processes > events:
+        violations.append(
+            f"{origin}: sim.processes={_fmt(processes)} exceeds "
+            f"sim.events={_fmt(events)}")
 
     integrity_on = any(n.startswith("integrity.") for n in counters)
     if integrity_on:

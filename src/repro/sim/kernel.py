@@ -73,8 +73,8 @@ class Kernel:
     #: dict lookup (``__weakref__`` kept so watchers may weakly hold a
     #: kernel just like the kernel weakly holds them).
     __slots__ = ("_now", "_queue", "_seq", "_next", "_active_processes",
-                 "_live_processes", "_deadlock_watchers", "_tracker",
-                 "_tiebreak", "__weakref__")
+                 "_live_processes", "_spawned", "_deadlock_watchers",
+                 "_tracker", "_tiebreak", "__weakref__")
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
@@ -97,6 +97,9 @@ class Kernel:
         #: Number of live (not yet finished) processes; used for deadlock
         #: detection when the queue drains.
         self._active_processes = 0
+        #: Processes ever started on this kernel (a deterministic work
+        #: count, reported beside the event count ``_seq``).
+        self._spawned = 0
         #: The live processes themselves, for the deadlock report's
         #: per-process blocked-state lines.
         self._live_processes: Set[Process] = set()

@@ -65,6 +65,7 @@ class Process(Event):
         self._generator = generator
         self._waiting_on: Optional[Event] = None
         kernel._active_processes += 1
+        kernel._spawned += 1
         kernel._live_processes.add(self)
         if kernel._tracker is not None:
             # Fork edge: the bootstrap event below is stamped with the

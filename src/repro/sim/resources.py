@@ -78,15 +78,21 @@ class Resource:
     def request(self) -> Request:
         """Ask for a slot.  The returned event fires once granted."""
         req = Request(self.kernel, self)
+        tracker = self.kernel._tracker
         if self._in_use < self.capacity and not self._waiting:
             self._in_use += 1
-            tracker = self.kernel._tracker
             if tracker is not None:
                 # Uncontended grant: no event flows from the previous
                 # holder, so join the published release clock instead.
                 tracker.lock_acquire(self, req)
             req.succeed(self)
         else:
+            if tracker is not None:
+                # The grant is scheduled later from the releaser's
+                # context; carry the requester's clock into it so a
+                # waiter that is a callback chain, not a process, keeps
+                # its history across the wait.
+                req._vc = tracker.current_vc()
             self._waiting.append(req)
         return req
 

@@ -43,6 +43,17 @@ def test_shuffle_drift_is_a_violation(tmp_path, capsys):
     assert "shuffle wire accounting drifted" in err
 
 
+def test_more_processes_than_events_is_a_violation():
+    reg = metrics.MetricsRegistry()
+    reg.count("sim.events", 10)
+    reg.count("sim.processes", 10)
+    assert check_invariants(build_manifest("x", registry=reg)) == []
+    reg.count("sim.processes", 1)
+    violations = check_invariants(build_manifest("x", registry=reg))
+    assert any("sim.processes=11 exceeds sim.events=10" in v
+               for v in violations)
+
+
 def test_undetected_corruption_is_a_violation():
     reg = metrics.MetricsRegistry()
     reg.count("integrity.blocks_verified", 4)

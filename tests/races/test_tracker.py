@@ -185,3 +185,29 @@ def test_uncontended_reacquire_synchronizes_via_release_clock():
     k.process(second(k))
     k.run()
     assert drain_findings() == []
+
+
+def test_contended_grant_carries_the_requesters_clock():
+    """A queued request is granted from the releaser's context.  A
+    waiter that is a callback chain rather than a process (a message
+    transfer waiting on a NIC) has no clock of its own to rejoin, so the
+    grant event itself must carry the requester's history."""
+    k = _traced_kernel()
+    r = Resource(k, capacity=1, name="nic")
+
+    def holder(k):
+        req = r.request()
+        yield req
+        yield k.timeout(1.0)
+        r.release(req)
+
+    def requester(k):
+        k._tracker.access("cell")
+        req = r.request()  # queued behind the holder
+        req.callbacks.append(lambda _ev: k._tracker.access("cell"))
+        yield k.timeout(0.0)
+
+    k.process(holder(k))
+    k.process(requester(k))
+    k.run()
+    assert drain_findings() == []
